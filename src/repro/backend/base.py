@@ -193,19 +193,23 @@ class Backend(abc.ABC):
         return {}
 
     def replay_counters(self) -> Dict[str, int]:
-        """Program replays served per replay engine.
+        """Program replays served vectorized vs op by op.
 
-        ``pim.Profiler`` snapshots this to attribute replays inside a
-        block to the vectorized super-step engine versus the per-op
-        thunk path. Backends without engine tiers report nothing.
+        On the simulator backend: ``"vectorized"`` counts replays through
+        :mod:`repro.sim.replay` super-steps, ``"fallback"`` counts
+        replays op by op through ``Simulator.execute`` (wide words, or
+        masks the static accounting walk rejects). ``pim.Profiler``
+        snapshots this. Backends with a single replay path report
+        nothing.
         """
         return {}
 
     def program_replay_info(self, program) -> Dict[str, object]:
         """How this backend would replay a compiled program.
 
-        On the simulator backend: the selected engine and the program's
-        super-step segmentation counts (see
+        On the simulator backend: the replay engine (``"vectorized"``
+        or op-by-op ``"fallback"``), whether the program is self-masked,
+        and its super-step segmentation counts (see
         :meth:`repro.driver.program.MicroProgram.replay_summary`).
         Backends with a single execution strategy report nothing.
         """

@@ -57,13 +57,13 @@ class SuperStep:
 
     A ``"gates"`` segment is a maximal run of consecutive
     :class:`~repro.arch.micro_ops.LogicHOp`\\ s whose crossbar and row
-    masks are *statically known* (both were set by earlier operations of
-    the same program — always true for self-masked fused streams); the
+    masks are *statically known* (set by earlier operations of the same
+    program, or given as the masks in force at replay entry); the
     vectorized replay engine lowers each such run into a handful of
     fused bulk updates over the packed memory image. Every other
     operation — mask changes, reads, writes, vertical logic, H-tree
-    moves, and gates executing under caller-set masks — is its own
-    ``"op"`` segment and replays through the per-op fallback path.
+    moves, and gates under unknown masks — is its own ``"op"`` segment
+    and replays as a single step.
 
     Attributes:
         kind: ``"gates"`` or ``"op"``.
@@ -84,15 +84,19 @@ class SuperStep:
         return self.stop - self.start
 
 
-def segment_super_steps(ops: Tuple[MicroOp, ...]) -> Tuple[SuperStep, ...]:
+def segment_super_steps(
+    ops: Tuple[MicroOp, ...],
+    xb: Optional[Tuple[int, int, int]] = None,
+    row: Optional[Tuple[int, int, int]] = None,
+) -> Tuple[SuperStep, ...]:
     """Slice an op stream into :class:`SuperStep` segments.
 
     Purely structural (geometry-independent): mask state is tracked as
-    the triples the stream itself establishes, and gate runs are broken
-    at every mask/read/write/vertical/move boundary.
+    the ``(start, stop, step)`` triples the stream establishes, starting
+    from ``xb``/``row`` (the entry masks, unknown by default), and gate
+    runs are broken at every mask/read/write/vertical/move boundary.
     """
     segments: List[SuperStep] = []
-    xb = row = None
     run_start: Optional[int] = None
 
     def close_run(end: int) -> None:
@@ -185,20 +189,16 @@ class MicroProgram:
             self.__dict__["_super_steps"] = cached
         return cached
 
-    def replay_summary(self, min_run_ops: int = 1) -> Dict[str, int]:
+    def replay_summary(self) -> Dict[str, int]:
         """Segmentation accounting: how much of the stream can fuse.
 
-        Returns ``gate_runs`` (number of ``"gates"`` segments at least
-        ``min_run_ops`` long), ``gate_ops`` (ops inside them — the
-        fusable fraction), and ``fallback_ops`` (ops replayed one at a
-        time). Callers reporting what the vectorized engine *actually*
-        fuses must pass its run-length threshold
-        (:data:`repro.sim.replay.MIN_RUN_OPS`): shorter gate runs
-        execute through per-op thunks.
+        Returns ``gate_runs`` (number of ``"gates"`` segments),
+        ``gate_ops`` (ops inside them — the fusable fraction), and
+        ``fallback_ops`` (ops replayed one at a time).
         """
         gate_runs = gate_ops = 0
         for segment in self.super_steps:
-            if segment.kind == "gates" and len(segment) >= min_run_ops:
+            if segment.kind == "gates":
                 gate_runs += 1
                 gate_ops += len(segment)
         return {

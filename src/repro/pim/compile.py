@@ -479,7 +479,7 @@ class CompiledFunction:
         """Replay-engine accounting for a signature (capturing if new).
 
         On the simulator backend: the engine replays will use
-        (``"vectorized"`` super-steps or per-op ``"thunk"``\\ s) plus the
+        (``"vectorized"`` super-steps or op-by-op ``"fallback"``) plus the
         fused program's super-step segmentation counts — how much of the
         stream executes as bulk fused updates versus op-at-a-time (see
         :meth:`repro.backend.base.Backend.program_replay_info`). Empty on

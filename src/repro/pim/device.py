@@ -376,9 +376,8 @@ def init(
 
     Keyword arguments matching :class:`~repro.arch.config.PIMConfig`
     fields construct a config directly (``pim.init(crossbars=4, rows=64)``);
-    the rest are forwarded to the backend (e.g. ``parallelism="serial"``,
-    ``move_cost="htree"``, or the simulator backend's
-    ``replay_engine="thunk"`` to disable vectorized super-step replay).
+    the rest are forwarded to the backend (e.g. ``parallelism="serial"``
+    or ``move_cost="htree"``).
     ``backend`` selects the execution engine: ``"simulator"`` (default,
     bit-accurate), ``"numpy"`` (fast functional model, same cycle
     accounting), or ``"pooled"`` (inter-crossbar sharding across worker

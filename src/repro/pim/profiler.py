@@ -48,9 +48,9 @@ class Profiler:
         #: inside the block (``opt_level >= 1`` captures): the pre- vs
         #: post-optimization instruction and cycle counts.
         self.opt_reports: list = []
-        #: Compiled-program replays inside the block, per replay engine
-        #: (simulator backend: ``"vectorized"`` super-step replays vs
-        #: per-op ``"thunk"`` replays; empty on single-engine backends).
+        #: Compiled-program replays inside the block (simulator backend:
+        #: ``"vectorized"`` super-step replays vs op-by-op ``"fallback"``
+        #: replays; empty on backends with a single replay path).
         self.replay_counts: dict = {}
         self._replay_before: dict = {}
         #: Macro streams emitted inside the block, per emission level

@@ -285,8 +285,8 @@ class PooledBackend(Backend):
 
         Cell faults become a single overlay over the *shared* word image
         (ticked once per pool-level dispatch boundary, exactly like a
-        single device, so both engines and all shards see one fault
-        timeline). Worker-failure entries arm resilient mode: a failed
+        single device, so every replay path and all shards see one
+        fault timeline). Worker-failure entries arm resilient mode: a failed
         shard is quarantined and its work replayed bit-identically on a
         fresh replacement worker.
         """
@@ -459,7 +459,7 @@ class PooledBackend(Backend):
     # ------------------------------------------------------------------
     # Shard fault handling: injection, quarantine, failover
     # ------------------------------------------------------------------
-    def _run_shard(self, k: int, thunk, what) -> Optional[int]:
+    def _run_shard(self, k: int, run, what) -> Optional[int]:
         """Run one unit of shard work with crash containment.
 
         Every worker call funnels through here. A worker exception (real
@@ -479,12 +479,12 @@ class PooledBackend(Backend):
             snapshot = self._words[lo : lo + self.shard].copy()
         try:
             self._maybe_inject(k, unit, lo, snapshot is not None)
-            return thunk(self.workers[k])
+            return run(self.workers[k])
         except SimulationError:
             raise
         except Exception as exc:
             if snapshot is not None:
-                return self._failover(k, snapshot, thunk, what, exc)
+                return self._failover(k, snapshot, run, what, exc)
             raise ShardError(
                 k, (lo, lo + self.shard - 1), self._context(what), exc
             ) from exc
@@ -510,7 +510,7 @@ class PooledBackend(Backend):
             f"injected fault in pool worker {k} (unit {unit})"
         )
 
-    def _failover(self, k, snapshot, thunk, what, cause) -> Optional[int]:
+    def _failover(self, k, snapshot, run, what, cause) -> Optional[int]:
         lo = k * self.shard
         self._quarantined.append((k, self.workers[k]))
         self.workers[k] = self._worker_cls(
@@ -520,7 +520,7 @@ class PooledBackend(Backend):
         self._words[lo : lo + self.shard] = snapshot
         self._fault_counters["failovers"] += 1
         try:
-            return thunk(self.workers[k])
+            return run(self.workers[k])
         except SimulationError:
             raise
         except Exception as exc:

@@ -41,7 +41,8 @@ class CrossbarMemory:
         #: stuck-at cells and injecting transient flips into this image
         #: (``None`` when fault-free). The overlay is *ticked* by the
         #: driver at dispatch boundaries, never by the micro-op
-        #: interpreter, so all replay engines see identical faults.
+        #: interpreter, so vectorized and op-by-op replay see identical
+        #: faults.
         self.overlay = None
 
     @property
@@ -95,8 +96,8 @@ class CrossbarMemory:
     def region(self, xb: RangeMask, reg: int, row: RangeMask) -> np.ndarray:
         """Strided ``(crossbars, rows)`` view of one register's words.
 
-        The bulk word-view used by both replay engines: the masked
-        region a horizontal logic operation updates in place.
+        The bulk word-view of op-by-op execution and lane packing: the
+        masked region a horizontal logic operation updates in place.
         """
         return self.words[
             xb.start : xb.stop + 1 : xb.step,

@@ -1,18 +1,19 @@
 """The vectorized replay engine: micro-op super-steps as bulk updates.
 
-This is the execution-layer payoff of the compile/replay pipeline. The
-thunk engine replays a compiled :class:`~repro.driver.program.MicroProgram`
-one Python callable per micro-op, so each horizontal gate costs several
-NumPy dispatches on a tiny ``(crossbars, rows)`` view and the host — not
-the modeled chip — dominates replay wall-clock. Following the paper's own
-simulator trick (Figure 6 / section V: pack partition bits into strided
-words so partition-parallel logic becomes bitwise word arithmetic), this
-engine extends the packing one level further:
+This is the execution-layer payoff of the compile/replay pipeline.
+Replaying a compiled :class:`~repro.driver.program.MicroProgram` one op
+at a time costs several NumPy dispatches per horizontal gate on a tiny
+``(crossbars, rows)`` view, so the host — not the modeled chip —
+dominates replay wall-clock. Following the paper's own simulator trick
+(Figure 6 / section V: pack partition bits into strided words so
+partition-parallel logic becomes bitwise word arithmetic), this engine
+extends the packing one level further:
 
-- a validated program is sliced into *super-steps*
-  (:attr:`~repro.driver.program.MicroProgram.super_steps`): maximal runs
-  of ``LogicHOp``\\ s between mask/read/write/vertical/move boundaries,
-  each run under statically-known masks;
+- a program is sliced into *super-steps*
+  (:func:`~repro.driver.program.segment_super_steps`): maximal runs of
+  ``LogicHOp``\\ s between mask/read/write/vertical/move boundaries, each
+  run under statically-known masks — set by the program itself or, for
+  the driver's per-R-type bodies, in force at replay entry;
 - at plan-compile time every run is lowered to a short straight-line
   *lane program*: each touched register's masked region is packed into
   one guard-laned arbitrary-precision integer
@@ -23,34 +24,22 @@ engine extends the packing one level further:
   stateful-logic semantics, applied to every masked crossbar and row in
   one arithmetic operation;
 - at replay time a run packs its registers, interprets the lane program,
-  and writes the (provably in-range) results back through the same
-  strided views the thunk engine updates.
+  and writes the (provably in-range) results back through strided views;
+  regions too wide for big-integer arithmetic to pay run the same lane
+  program on the strided NumPy views directly.
 
 The result is bit-identical to op-by-op execution at every operation
 boundary — runs contain no observable point (no reads, no mask changes)
-— and cycle accounting is untouched: vectorized plans exist only for
-*self-masked* programs, whose per-replay
-:class:`~repro.sim.stats.SimStats` delta is established statically and
-merged once per replay by both engines. Fused whole-stream plans from
-the driver's stream emission compiler (:mod:`repro.driver.stream`) are
-self-masked by construction — every spliced instruction re-establishes
-its masks first — so stream emission rides this engine too.
-
-Fallback ladder (each level preserved bit-for-bit):
-
-1. **vectorized** — self-masked programs on the packed ``uint32`` word
-   format (``word_size <= 32``); gate runs execute as lane programs,
-   every other op as a pre-resolved silent thunk.
-2. **thunk** — everything else the plan cache handles today: per-op
-   pre-resolved callables (silent for self-masked programs, counted
-   otherwise). Selected explicitly with ``REPRO_SIM_REPLAY=thunk`` or
-   ``Simulator(..., replay_engine="thunk")``.
-3. **op-by-op** — ``Simulator.execute`` for uncompiled streams.
+— and cycle accounting is untouched: the per-replay
+:class:`~repro.sim.stats.SimStats` delta is established statically by
+:func:`~repro.sim.simulator.accounting_walk` and merged once per replay.
+Programs the walk rejects, and word formats wider than 32 bits, replay
+op by op through :meth:`~repro.sim.simulator.Simulator.execute`, the
+oracle every plan is checked against.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
@@ -59,29 +48,8 @@ import numpy as np
 from repro.arch.halfgates import expand_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import GateType, LogicHOp
+from repro.driver.program import segment_super_steps
 from repro.sim.memory import CrossbarMemory
-
-#: Environment variable selecting the default replay engine.
-ENGINE_ENV = "REPRO_SIM_REPLAY"
-
-#: Recognized engine names, strongest first.
-ENGINES = ("vectorized", "thunk")
-
-#: Gate runs shorter than this replay through thunks instead: packing and
-#: unpacking the touched registers costs more than it saves.
-MIN_RUN_OPS = 2
-
-
-def resolve_engine(requested: "str | None") -> str:
-    """Validate an engine name, defaulting from ``REPRO_SIM_REPLAY``."""
-    engine = requested or os.environ.get(ENGINE_ENV) or ENGINES[0]
-    if engine not in ENGINES:
-        source = "requested" if requested else f"${ENGINE_ENV}"
-        raise ValueError(
-            f"unknown replay engine {engine!r} ({source}); "
-            f"choose from {ENGINES}"
-        )
-    return engine
 
 
 def lanes_supported(memory: CrossbarMemory) -> bool:
@@ -89,7 +57,7 @@ def lanes_supported(memory: CrossbarMemory) -> bool:
 
     True for ``word_size <= 32`` (the packed ``uint32`` format): a word
     and its largest partition shift stay inside 64 bits. Wider words
-    fall back to the thunk engine.
+    replay op by op.
     """
     return memory.dtype == np.dtype(np.uint32)
 
@@ -123,16 +91,26 @@ def _pattern_mask(
 # in the hot interpreter loop (NOR first — it dominates real programs).
 _NOR, _NOT, _INIT1, _INIT0 = 0, 1, 2, 3
 
+#: Largest region (crossbars x rows) a gate run packs into one big
+#: integer. Past it NumPy's bandwidth beats big-integer arithmetic, and
+#: the run applies the same lane program to the region's strided NumPy
+#: views in place. Measured on a float32 add body on a 2-vCPU x86 VM:
+#: 0.9 vs 6.2 us/gate at 64 lanes, 7.7 vs 8.2 at 1024, 30 vs 14 at 4096
+#: (packed vs views).
+PACKED_LANES_MAX = 1024
+
 
 class GateRun:
     """One ``"gates"`` super-step compiled to a lane program.
 
     Built once per replay plan; calling the instance executes the whole
     run — typically thousands of micro-ops — as pack / interpret /
-    unpack over the packed memory image.
+    unpack over the packed memory image. Regions wider than
+    :data:`PACKED_LANES_MAX` lanes run the same lane program on NumPy
+    views of the region instead, updating memory in place.
     """
 
-    __slots__ = ("memory", "xb", "row", "regs", "written", "steps")
+    __slots__ = ("memory", "xb", "row", "regs", "written", "steps", "packed")
 
     def __init__(
         self,
@@ -148,9 +126,16 @@ class GateRun:
         self.row = row
         lanes = len(xb) * len(row)
         word_mask = int(memory.word_mask)
+        self.packed = lanes <= PACKED_LANES_MAX
 
-        def rep(mask: int) -> int:
-            """``mask`` replicated into every 64-bit lane (memoized)."""
+        def rep(mask: int):
+            """``mask`` as a constant for every lane of the region.
+
+            Packed: replicated into each 64-bit lane (memoized). Views: a
+            word-typed scalar NumPy broadcasts.
+            """
+            if not self.packed:
+                return memory.dtype.type(mask)
             value = rep_cache.get((lanes, mask))
             if value is None:
                 value = int.from_bytes(
@@ -191,7 +176,10 @@ class GateRun:
 
     def __call__(self) -> None:
         memory, xb, row = self.memory, self.xb, self.row
-        state = {reg: memory.pack_lanes(xb, reg, row) for reg in self.regs}
+        if self.packed:
+            state = {reg: memory.pack_lanes(xb, reg, row) for reg in self.regs}
+        else:
+            state = {reg: memory.region(xb, reg, row) for reg in self.regs}
         for step in self.steps:
             kind = step[0]
             if kind == _NOR:
@@ -219,8 +207,9 @@ class GateRun:
                 state[step[1]] |= step[2]
             else:  # _INIT0
                 state[step[1]] &= step[2]
-        for reg in self.written:
-            memory.unpack_lanes(xb, reg, row, state[reg])
+        if self.packed:
+            for reg in self.written:
+                memory.unpack_lanes(xb, reg, row, state[reg])
 
 
 #: Replicated lane masks are shared across plans and simulators: they
@@ -232,35 +221,38 @@ _REP_CACHE: Dict[Tuple[int, int], int] = {}
 _REP_CACHE_LIMIT = 1 << 16
 
 
-def build_vector_steps(
-    program, simulator, region_cache: dict
-) -> List[Callable]:
-    """Lower a self-masked program into vectorized replay steps.
+def build_vector_steps(program, simulator, entry) -> List[Callable]:
+    """Lower a program into vectorized replay steps.
 
-    Gate runs become :class:`GateRun` instances; every other op (and
-    runs below :data:`MIN_RUN_OPS`) keeps the simulator's pre-resolved
-    silent thunk. The caller guarantees the program is self-masked (its
-    static stats delta exists) and :func:`lanes_supported` holds.
+    Gate runs become :class:`GateRun` instances; every other op keeps the
+    simulator's pre-resolved silent step. ``entry`` is the
+    ``(crossbar mask, row mask)`` pair the plan is specialized on, or
+    ``None`` for a self-masked program. The caller guarantees that
+    :func:`~repro.sim.simulator.accounting_walk` accepts the program
+    under ``entry`` and that :func:`lanes_supported` holds.
     """
     if len(_REP_CACHE) > _REP_CACHE_LIMIT:
         _REP_CACHE.clear()
-    config = simulator.config
+    if entry is None:
+        segments = program.super_steps
+    else:
+        segments = segment_super_steps(
+            program.ops, *((m.start, m.stop, m.step) for m in entry)
+        )
     steps: List[Callable] = []
-    for segment in program.super_steps:
-        if segment.kind == "gates" and len(segment) >= MIN_RUN_OPS:
+    for segment in segments:
+        ops = program.ops[segment.start : segment.stop]
+        if segment.kind == "gates":
             steps.append(
                 GateRun(
-                    program.ops[segment.start : segment.stop],
+                    ops,
                     RangeMask(*segment.xb),
                     RangeMask(*segment.row),
                     simulator.memory,
-                    config.partitions,
+                    simulator.config.partitions,
                     rep_cache=_REP_CACHE,
                 )
             )
         else:
-            steps.extend(
-                simulator._plan_step(op, region_cache, silent=True)
-                for op in program.ops[segment.start : segment.stop]
-            )
+            steps.extend(simulator._plan_step(op) for op in ops)
     return steps

@@ -8,6 +8,8 @@ quotients cannot underflow or overflow.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -35,6 +37,29 @@ def simulator(config) -> Simulator:
 @pytest.fixture
 def driver(simulator) -> Driver:
     return Driver(simulator, guard=True)
+
+
+def _execute_program_op_by_op(self, program):
+    """``Simulator.execute_program`` through the op-by-op oracle."""
+    response = None
+    for op in program.ops:
+        result = self.execute(op)
+        if result is not None:
+            response = result
+    return response
+
+
+@contextlib.contextmanager
+def op_by_op_replay():
+    """Inside the block, every simulator replays programs op by op.
+
+    ``Simulator.execute_program`` is patched to run each micro-op through
+    ``Simulator.execute`` and return the last read response: the oracle
+    leg the replay-identity tests compare vectorized replay against.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "execute_program", _execute_program_op_by_op)
+        yield
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ fallback ladder.  This suite checks that promise differentially:
 
 - seeded random macro streams (R-type across dtypes, masked writes,
   moves of every shape, in-stream reads) are emitted stream-lowered and
-  per-macro on fresh simulators — and through both replay engines — and
-  compared bit for bit;
+  per-macro on fresh simulators — with stream replay both vectorized and
+  op by op — and compared bit for bit;
 - the spliced stream compiler (``Driver.compile`` under ``"stream"``
   emission) is checked op-for-op against the legacy per-macro lowering
   at both ``optimize`` flags;
@@ -26,6 +26,7 @@ On failure the offending stream is dumped to ``fuzz_artifacts/``
 suite does.
 """
 
+import contextlib
 import json
 import os
 import random
@@ -58,6 +59,7 @@ from repro.isa.instructions import (
     WriteInstr,
 )
 from repro.sim.simulator import Simulator
+from tests.conftest import op_by_op_replay
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -190,8 +192,7 @@ def per_macro_reference(stream, loops: int = 1):
 
 def stream_emission(stream, loops: int = 1, **kwargs):
     """The path under test: ``execute_stream`` on a fresh simulator."""
-    replay_engine = kwargs.pop("replay_engine", None)
-    sim = Simulator(CFG, replay_engine=replay_engine)
+    sim = Simulator(CFG)
     driver = Driver(sim, **kwargs)
     response = None
     for _ in range(loops):
@@ -309,14 +310,17 @@ class TestStreamExecutionConformance:
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("engine", ["vectorized", "thunk"])
-    def test_both_replay_engines(self, seed, engine):
+    @pytest.mark.parametrize("engine", ["vectorized", "op-by-op"])
+    def test_vectorized_and_op_by_op_replay(self, seed, engine):
         stream = random_stream(seed)
+        reference = per_macro_reference(stream)
+        oracle = op_by_op_replay() if engine == "op-by-op" else (
+            contextlib.nullcontext()
+        )
+        with oracle:
+            candidate = stream_emission(stream, emit_mode="stream")
         assert_conformant(
-            seed, stream, f"replay engine {engine}",
-            per_macro_reference(stream),
-            stream_emission(stream, replay_engine=engine,
-                            emit_mode="stream"),
+            seed, stream, f"replay engine {engine}", reference, candidate
         )
 
     @pytest.mark.parametrize("seed", SEEDS)

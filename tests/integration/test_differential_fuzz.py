@@ -8,9 +8,8 @@ reduction), then every program is executed:
 - eagerly on the bit-accurate simulator backend,
 - eagerly on the NumPy functional backend,
 - under ``pim.compile`` at every ``opt_level`` (0..3) on both backends,
-  capture and replay — on the simulator backend with *both* replay
-  engines (the vectorized super-step engine and the per-op thunk
-  engine, see :mod:`repro.sim.replay`);
+  capture and replay — on the simulator backend both vectorized (see
+  :mod:`repro.sim.replay`) and op by op through ``Simulator.execute``;
 
 and cross-checked against a NumPy *mirror* built from
 ``repro.theory.golden`` (the paper's trusted-CPU reference semantics).
@@ -18,8 +17,8 @@ Assertions: every execution's outputs — tensors (raw bits), the reduced
 scalar, and the final contents of (possibly mutated) argument tensors —
 are bit-identical to the mirror, profiled cycle totals match between the
 two backends at every level, level-0 replay is cycle-exact with eager
-execution, and the two simulator replay engines leave bit-identical
-memory images with identical ``SimStats`` at every level.
+execution, and vectorized and op-by-op simulator replay leave
+bit-identical memory images with identical ``SimStats`` at every level.
 
 Each case's captured macro-instruction stream additionally runs through
 the whole-stream emission compiler (:mod:`repro.driver.stream`): the
@@ -38,6 +37,7 @@ replayed offline.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +48,7 @@ import repro.pim as pim
 from repro.isa.dtypes import DType, float32, int32
 from repro.isa.instructions import ROp
 from repro.theory.golden import golden_rtype
+from tests.conftest import op_by_op_replay
 
 CROSSBARS, ROWS = 4, 8
 N = 16  # base vector length (spans two warps at 8 rows)
@@ -479,57 +480,63 @@ def _run_case(seed: int):
     _check_pooled(seed, program, int_inputs, float_inputs, mirror)
 
     # Compiled at every opt_level on both backends — the simulator
-    # backend additionally under both replay engines ---------------------
+    # backend additionally replaying op by op --------------------------
     replay_cycles = {}
     engine_state = {}
     for backend in ("simulator", "numpy"):
-        engines = ("vectorized", "thunk") if backend == "simulator" else (None,)
+        engines = (
+            ("vectorized", "op-by-op") if backend == "simulator" else (None,)
+        )
         for level in pim.OPT_LEVELS:
             for engine in engines:
-                backend_kwargs = {"replay_engine": engine} if engine else {}
-                device = pim.init(
-                    crossbars=CROSSBARS, rows=ROWS, backend=backend,
-                    **backend_kwargs,
+                oracle = op_by_op_replay() if engine == "op-by-op" else (
+                    contextlib.nullcontext()
                 )
-                tensors = _fresh_inputs(int_inputs, float_inputs)
-                func = pim.compile(
-                    lambda *args: program(*args), opt_level=level, cache_size=2
-                )
-                context = f"seed={seed} {backend} O{level}" + (
-                    f" {engine}" if engine else ""
-                )
-                outputs, scalar = func(*tensors)  # capture
-                _check_outputs(
-                    outputs, scalar, tensors, mirror, context + " capture"
-                )
-                for round_ in range(2):  # cached replays
-                    _reload(tensors, int_inputs, float_inputs)
-                    before = device.stats_snapshot()
-                    outputs, scalar = func(*tensors)
-                    delta = device.backend.stats.diff(before)
-                    _check_outputs(
-                        outputs, scalar, tensors, mirror,
-                        f"{context} replay {round_}",
+                with oracle:
+                    device = pim.init(
+                        crossbars=CROSSBARS, rows=ROWS, backend=backend
                     )
+                    tensors = _fresh_inputs(int_inputs, float_inputs)
+                    func = pim.compile(
+                        lambda *args: program(*args), opt_level=level,
+                        cache_size=2,
+                    )
+                    context = f"seed={seed} {backend} O{level}" + (
+                        f" {engine}" if engine else ""
+                    )
+                    outputs, scalar = func(*tensors)  # capture
+                    _check_outputs(
+                        outputs, scalar, tensors, mirror, context + " capture"
+                    )
+                    for round_ in range(2):  # cached replays
+                        _reload(tensors, int_inputs, float_inputs)
+                        before = device.stats_snapshot()
+                        outputs, scalar = func(*tensors)
+                        delta = device.backend.stats.diff(before)
+                        _check_outputs(
+                            outputs, scalar, tensors, mirror,
+                            f"{context} replay {round_}",
+                        )
                 assert func.captures == 1, context
                 if engine is not None:
                     engine_state[(level, engine)] = (
                         device.backend.words.copy(), delta
                     )
-                if engine != "thunk":
+                if engine != "op-by-op":
                     replay_cycles[(backend, level)] = delta.cycles
                 pim.reset()
 
-    # The two simulator replay engines must be indistinguishable: same
-    # final memory image, same per-replay SimStats, at every level.
+    # Vectorized replay must be indistinguishable from the op-by-op
+    # oracle: same final memory image, same per-replay SimStats, at
+    # every level.
     for level in pim.OPT_LEVELS:
         words_v, stats_v = engine_state[(level, "vectorized")]
-        words_t, stats_t = engine_state[(level, "thunk")]
-        assert np.array_equal(words_v, words_t), (
-            f"seed={seed} O{level}: replay-engine memory images diverge"
+        words_o, stats_o = engine_state[(level, "op-by-op")]
+        assert np.array_equal(words_v, words_o), (
+            f"seed={seed} O{level}: replay memory images diverge"
         )
-        assert stats_v == stats_t, (
-            f"seed={seed} O{level}: replay-engine stats diverge"
+        assert stats_v == stats_o, (
+            f"seed={seed} O{level}: replay stats diverge"
         )
 
     for level in pim.OPT_LEVELS:

@@ -4,8 +4,8 @@ The three acceptance claims of the resilience layer, each enforced here:
 
 1. **Detection**: ``verify="checksum"`` catches >= 99% of injected
    flips that corrupt a compiled program's written cells, on both
-   backends and both simulator replay engines (in practice the CRC
-   bracket catches every one — the floor is the contract).
+   backends (in practice the CRC bracket catches every one — the floor
+   is the contract).
 2. **Recovery**: a transient flip is healed by one retry; a persistent
    stuck-at cell is quarantined in the allocator and the function
    recompiles around it — outputs stay bit-identical to golden either
@@ -31,6 +31,7 @@ from repro.faults import (
     program_regions,
     resolve_fault_seed,
 )
+from tests.conftest import op_by_op_replay
 
 CFG = PIMConfig(crossbars=4, rows=8)
 N = CFG.total_rows  # one register's worth of elements
@@ -166,12 +167,10 @@ class TestChecksumDetection:
 
 
 class TestReplayEngineIdentity:
-    """Both simulator replay engines must see one fault timeline."""
+    """Vectorized and op-by-op replay must see one fault timeline."""
 
-    def _run(self, replay_engine):
-        device = pim.init(
-            config=CFG, backend="simulator", replay_engine=replay_engine
-        )
+    def _run(self):
+        device = pim.init(config=CFG, backend="simulator")
         handle = pim.compile(lambda a, b: a * b + a)
         a, b = _arrays()
         handle(pim.from_numpy(a), pim.from_numpy(b))  # capture
@@ -183,14 +182,15 @@ class TestReplayEngineIdentity:
         ]
         return outs, device.backend.words.copy(), device.backend.fault_counters()
 
-    def test_thunk_and_vectorized_agree_under_faults(self):
-        thunk_outs, thunk_words, thunk_counts = self._run("thunk")
-        vec_outs, vec_words, vec_counts = self._run("vectorized")
-        for t_out, v_out in zip(thunk_outs, vec_outs):
-            np.testing.assert_array_equal(t_out, v_out)
-        np.testing.assert_array_equal(thunk_words, vec_words)
-        assert thunk_counts["ticks"] == vec_counts["ticks"]
-        assert thunk_counts["flips"] == vec_counts["flips"]
+    def test_op_by_op_and_vectorized_agree_under_faults(self):
+        with op_by_op_replay():
+            oracle_outs, oracle_words, oracle_counts = self._run()
+        vec_outs, vec_words, vec_counts = self._run()
+        for o_out, v_out in zip(oracle_outs, vec_outs):
+            np.testing.assert_array_equal(o_out, v_out)
+        np.testing.assert_array_equal(oracle_words, vec_words)
+        assert oracle_counts["ticks"] == vec_counts["ticks"]
+        assert oracle_counts["flips"] == vec_counts["flips"]
 
 
 class TestStuckCellQuarantine:

@@ -1,22 +1,31 @@
-"""Tests for the vectorized replay engine and its fallback ladder.
+"""Tests for the vectorized replay engine and its op-by-op fallback.
 
 Covers the correctness obligations of ``repro.sim.replay``:
 
 - super-step segmentation of the program IR (gate runs broken at every
-  mask/read/write/vertical/move boundary, masks tracked statically);
-- bit-identical memory and identical stats between op-by-op execution,
-  thunk replay, and vectorized replay, on randomized op streams that
-  exercise every op kind;
-- the engine fallback ladder: non-self-masked programs, wide-word
-  configs, and ``REPRO_SIM_REPLAY=thunk`` all take the thunk path;
-- the region-cache entry-clear fix: self-masked programs keep cached
-  views across replays, while body programs replayed under caller-set
-  masks (the unsafe case) still see fresh views;
+  mask/read/write/vertical/move boundary, masks tracked statically from
+  the program's own mask ops or the entry masks);
+- bit-identical memory and identical stats between op-by-op execution
+  and vectorized replay, on randomized op streams that exercise every op
+  kind;
+- entry-mask plans: body programs whose gates run before their own mask
+  ops are specialized on the masks in force at replay entry, cached per
+  mask pair, and agree with op-by-op execution and the bit-level
+  :class:`~repro.sim.reference.ReferenceSimulator` when the masks change
+  between replays;
+- the op-by-op fallback: programs the static walk rejects raise exactly
+  where op-by-op execution does, and wide words replay op by op;
+- both lane-state representations (packed big integers, and NumPy views
+  for wide regions) on the same streams;
 - lane packing round-trips on the bulk memory helpers.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+
+import repro.pim as pim
 
 from repro.arch.config import PIMConfig, small_config
 from repro.arch.masks import RangeMask
@@ -34,7 +43,9 @@ from repro.driver.compiler import compile_ops
 from repro.driver.program import MicroProgram, segment_super_steps
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
-from repro.sim.simulator import Simulator
+from repro.sim.reference import ReferenceSimulator
+from repro.sim.simulator import SimulationError, Simulator
+from tests.conftest import op_by_op_replay
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -103,12 +114,17 @@ class TestSegmentation:
             "ops": 5, "super_steps": 4, "gate_runs": 1, "gate_ops": 2,
             "fallback_ops": 3,
         }
-        # Runs below a caller's fusion threshold count as fallback ops.
-        assert program.replay_summary(min_run_ops=3) == {
-            "ops": 5, "super_steps": 4, "gate_runs": 0, "gate_ops": 0,
-            "fallback_ops": 5,
-        }
         assert program.super_steps is program.super_steps  # memoized
+
+    def test_entry_masks_let_leading_gates_fuse(self):
+        ops = (_init1(3), _gate(3, 0, 1), RowMaskOp(0, 0, 1), _gate(4, 0, 1))
+        xb, row = (1, 3, 2), (0, 7, 1)
+        segments = segment_super_steps(ops, xb, row)
+        assert [(s.kind, len(s)) for s in segments] == [
+            ("gates", 2), ("op", 1), ("gates", 1),
+        ]
+        assert (segments[0].xb, segments[0].row) == (xb, row)
+        assert (segments[2].xb, segments[2].row) == (xb, (0, 0, 1))
 
 
 def _random_self_masked_ops(rng, config=CFG, length=120):
@@ -180,8 +196,16 @@ def _seed_memory(sim, rng):
     ).astype(sim.memory.dtype)
 
 
+@pytest.fixture(params=["packed", "views"])
+def lane_state(request, monkeypatch):
+    """Run gate runs on packed big integers, or force NumPy views."""
+    if request.param == "views":
+        monkeypatch.setattr(replay, "PACKED_LANES_MAX", 0)
+    return request.param
+
+
 @pytest.mark.parametrize("seed", [3, 17, 2024])
-def test_vectorized_replay_is_bit_identical(seed):
+def test_vectorized_replay_is_bit_identical(seed, lane_state):
     rng = np.random.default_rng(seed)
     ops = _random_self_masked_ops(rng)
     program = compile_ops(ops, CFG, optimize=False)
@@ -192,130 +216,148 @@ def test_vectorized_replay_is_bit_identical(seed):
         reference.execute(op)
     expected_read = reference.execute(ops[-1])
 
-    for engine in ("vectorized", "thunk"):
-        sim = Simulator(CFG, replay_engine=engine)
+    for engine in ("vectorized", "op-by-op"):
+        oracle = op_by_op_replay() if engine == "op-by-op" else (
+            contextlib.nullcontext()
+        )
+        sim = Simulator(CFG)
         _seed_memory(sim, np.random.default_rng(seed + 1))
-        response = sim.execute_program(program)
+        with oracle:
+            response = sim.execute_program(program)
         assert response == expected_read, engine
         assert np.array_equal(sim.memory.words, reference.memory.words), engine
         assert sim.stats == reference.stats, engine
-        assert sim.replay_counters[engine] == 1
+        if engine == "vectorized":
+            assert sim.replay_counters == {"vectorized": 1, "fallback": 0}
 
 
-class TestEngineSelection:
-    def _self_masked_program(self):
-        return compile_ops(
-            _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
-        )
+def _set_masks(executor, xb, row):
+    executor.execute(CrossbarMaskOp(*xb))
+    executor.execute(RowMaskOp(*row))
 
-    def test_self_masked_program_vectorizes(self):
-        sim = Simulator(CFG, replay_engine="vectorized")
-        sim.execute_program(self._self_masked_program())
-        assert sim.replay_counters == {"vectorized": 1, "thunk": 0}
 
-    def test_body_program_falls_back_to_thunks(self):
-        """Gates under caller-set masks: no static accounting, no runs."""
-        program = compile_ops([_init1(3), _gate(3, 0, 1)], CFG, optimize=False)
-        sim = Simulator(CFG, replay_engine="vectorized")
+class TestEntryMaskPlans:
+    """Programs that run gates under masks set before replay entry."""
+
+    @pytest.mark.parametrize("seed", [5, 41])
+    def test_body_replayed_under_changing_masks(self, seed, lane_state):
+        """Masks A, B, A: each replay must see its own entry masks, never
+        views or plans left over from a replay under other masks."""
+        rng = np.random.default_rng(seed)
+        body = [_init1(5), _gate(5, 0, 1)] + _random_self_masked_ops(rng)[2:]
+        program = compile_ops(body, CFG, optimize=False)
+        sim, oracle = Simulator(CFG), Simulator(CFG)
+        for executor in (sim, oracle):
+            _seed_memory(executor, np.random.default_rng(seed + 1))
+        reference = ReferenceSimulator(CFG)
+        for xbar in range(CFG.crossbars):
+            reference.bits[xbar] = sim.memory.unpack_bits(xbar)
+
+        mask_a = ((1, 3, 2), (0, 6, 2))
+        mask_b = ((0, 2, 1), (3, 7, 1))
+        for xb, row in (mask_a, mask_b, mask_a):
+            for executor in (sim, oracle, reference):
+                _set_masks(executor, xb, row)
+            response = sim.execute_program(program)
+            expected = None
+            for op in body:
+                expected = oracle.execute(op)
+                reference.execute(op)
+            assert response == expected
+            assert np.array_equal(sim.memory.words, oracle.memory.words)
+            assert sim.stats == oracle.stats
+        for xbar in range(CFG.crossbars):
+            assert (sim.memory.unpack_bits(xbar) == reference.bits[xbar]).all()
+        assert sim.replay_counters == {"vectorized": 3, "fallback": 0}
+        assert len(sim._plans[program]) == 2  # one plan per mask pair
+
+    @pytest.mark.parametrize("body", [
+        [_init1(3), MoveOp(1, 0, 0, 3, 4)],  # dist 1 off the last crossbar
+        [_init1(3), ReadOp(3)],  # a read under multi-row masks
+    ], ids=["invalid-move", "multi-row-read"])
+    def test_rejected_body_raises_like_op_by_op(self, body):
+        program = compile_ops(body, CFG, optimize=False)
+        sim, oracle = Simulator(CFG), Simulator(CFG)
+        with pytest.raises(SimulationError) as raised:
+            sim.execute_program(program)
+        with pytest.raises(SimulationError) as expected:
+            for op in body:
+                oracle.execute(op)
+        assert str(raised.value) == str(expected.value)
+        assert np.array_equal(sim.memory.words, oracle.memory.words)
+        assert sim.memory.words[:, 3, :].all()  # the INIT1 ran first
+        assert sim.stats == oracle.stats
+        assert sim.replay_counters == {"vectorized": 0, "fallback": 1}
+
+        # Under single-cell entry masks the same body is valid and fuses.
+        _set_masks(sim, (0, 0, 1), (0, 0, 1))
         sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 0, "thunk": 1}
+        assert sim.replay_counters == {"vectorized": 1, "fallback": 1}
 
-    def test_wide_words_fall_back_to_thunks(self):
+    def test_wide_words_replay_op_by_op(self):
         wide = PIMConfig(crossbars=4, rows=8, columns=2048,
                          partitions=64, word_size=64)
-        program = compile_ops(
-            [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
-             LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
-                      p_end=63, p_step=1),
-             LogicHOp(GateType.NOR, 0, 1, 2, p_a=0, p_b=1, p_out=2,
-                      p_end=2, p_step=1)],
-            wide, optimize=False,
-        )
-        sim = Simulator(wide, replay_engine="vectorized")
+        ops = [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
+               LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
+                        p_end=63, p_step=1),
+               LogicHOp(GateType.NOR, 0, 1, 2, p_a=0, p_b=1, p_out=2,
+                        p_end=2, p_step=1)]
+        program = compile_ops(ops, wide, optimize=False)
+        sim, oracle = Simulator(wide), Simulator(wide)
         assert not replay.lanes_supported(sim.memory)
         sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 0, "thunk": 1}
+        oracle.execute_all(ops)
+        assert np.array_equal(sim.memory.words, oracle.memory.words)
+        assert sim.stats == oracle.stats
+        assert sim.replay_counters == {"vectorized": 0, "fallback": 1}
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(replay.ENGINE_ENV, "thunk")
-        sim = Simulator(CFG)
-        assert sim.replay_engine == "thunk"
-        sim.execute_program(self._self_masked_program())
-        assert sim.replay_counters["thunk"] == 1
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="replay engine"):
-            Simulator(CFG, replay_engine="gpu")
-        monkeypatch.setenv(replay.ENGINE_ENV, "nonsense")
-        with pytest.raises(ValueError, match="REPRO_SIM_REPLAY"):
-            Simulator(CFG)
-
-    def test_program_replay_info_matches_plan(self):
-        """The derived eligibility predicate and the memoized plan agree."""
-        from repro.backend.simulator import SimulatorBackend
-
-        for engine, expected in (("vectorized", "vectorized"),
-                                 ("thunk", "thunk")):
-            backend = SimulatorBackend(CFG, replay_engine=engine)
-            program = compile_ops(
-                _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
-            )
-            derived = backend.program_replay_info(program)  # no plan yet
-            backend.simulator.execute_program(program)
-            from_plan = backend.program_replay_info(program)  # memoized plan
-            assert derived == from_plan
-            assert from_plan["engine"] == expected
-            assert from_plan["self_masked"] is True
-
-    def test_engine_switch_rebuilds_plan(self):
-        sim = Simulator(CFG, replay_engine="vectorized")
-        program = self._self_masked_program()
-        sim.execute_program(program)
-        sim.replay_engine = "thunk"
-        sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 1, "thunk": 1}
-
-
-class TestRegionCachePersistence:
-    def test_self_masked_plans_skip_entry_clear(self):
-        sim = Simulator(CFG, replay_engine="thunk")
+    def test_self_masked_program_has_one_plan(self):
         program = compile_ops(
             _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
         )
-        before = sim.memory.words.copy()
+        sim = Simulator(CFG)
         sim.execute_program(program)
-        plan = sim._plans[program]
-        assert plan.entry_clear is False
-        # Cached views persist into the next replay (no entry clear) and
-        # the replayed effect stays correct: INIT1 fills register 3
-        # everywhere, the NOR of two all-zero registers pulls nothing.
+        _set_masks(sim, (1, 1, 1), (2, 2, 1))
         sim.execute_program(program)
-        expected = before.copy()
-        expected[:, 3, :] = sim.memory.word_mask
-        assert np.array_equal(sim.memory.words, expected)
-        assert sim.replay_counters["thunk"] == 2
+        assert list(sim._plans[program]) == [None]
+        assert sim.replay_counters == {"vectorized": 2, "fallback": 0}
 
-    def test_body_program_under_changed_masks_stays_correct(self):
-        """The unsafe case: gates before any mask op (driver R-type
-        bodies) replayed under different caller-set masks must not reuse
-        views cached by the previous replay."""
-        program = compile_ops([_init1(3)], CFG, optimize=False)
-        sim = Simulator(CFG, replay_engine="vectorized")
-        plan_probe = Simulator(CFG, replay_engine="thunk")
-        assert plan_probe._compile_plan(program).entry_clear is True
+    def test_repeated_eager_loop_builds_no_new_plans(self, monkeypatch):
+        built = []
+        compile_plan = Simulator._compile_plan
 
-        sim.execute(CrossbarMaskOp(0, 0, 1))
-        sim.execute(RowMaskOp(0, 0, 1))
-        sim.execute_program(program)
-        first = sim.memory.words.copy()
-        assert first[0, 3, 0] == sim.memory.word_mask
-        assert first[1, 3, 1] == 0
+        def counting(self, program):
+            built.append(program)
+            return compile_plan(self, program)
 
-        sim.execute(CrossbarMaskOp(1, 1, 1))
-        sim.execute(RowMaskOp(1, 1, 1))
-        sim.execute_program(program)
-        assert sim.memory.words[1, 3, 1] == sim.memory.word_mask
-        assert sim.memory.words[2, 3, 2] == 0
+        monkeypatch.setattr(Simulator, "_compile_plan", counting)
+        pim.init(crossbars=4, rows=16)
+        try:
+            x = pim.from_numpy(np.arange(64, dtype=np.float32))
+            y = pim.from_numpy(np.full(64, 0.5, dtype=np.float32))
+            counts = []
+            for _ in range(3):
+                z = x * y + x
+                float(z[::2].sum())
+                del z  # the next call reuses the same registers
+                counts.append(len(built))
+        finally:
+            pim.reset()
+        assert counts[0] > 0
+        assert counts[1] == counts[2] == counts[0]
+
+    def test_program_replay_info(self):
+        from repro.backend.simulator import SimulatorBackend
+
+        backend = SimulatorBackend(CFG)
+        fused = compile_ops(
+            _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
+        )
+        body = compile_ops([_init1(3), _gate(3, 0, 1)], CFG, optimize=False)
+        info = backend.program_replay_info(fused)
+        assert (info["engine"], info["self_masked"]) == ("vectorized", True)
+        info = backend.program_replay_info(body)
+        assert (info["engine"], info["self_masked"]) == ("vectorized", False)
 
 
 class TestLaneHelpers:
